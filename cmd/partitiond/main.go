@@ -1,9 +1,9 @@
 // Command partitiond is the cache partition-sharing daemon: it registers
 // tenants by hotlprof profile upload, serves miss-ratio-curve queries and
 // optimal partition plans for ad-hoc co-run groups, and re-optimizes the
-// shared plan in the background as tenants churn — warm-starting the DP
-// from the previous epoch and serving the last good plan (flagged
-// degraded) when re-optimization fails.
+// shared plan in the background as tenants churn — one cold solve per
+// epoch, serving the last good plan (flagged degraded) when
+// re-optimization fails.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@
 //	GET    /healthz, /readyz        liveness / readiness
 //
 // Every served plan carries a provenance record (epoch, input digest,
-// solver path, warm/cold start, triggering cause and trace); every epoch
+// solver path, compute time, triggering cause and trace); every epoch
 // transition is diffed, appended to a crash-safe audit log in the store
 // directory, and fanned out to /v1/plan/changes subscribers without ever
 // back-pressuring re-optimization (slow consumers see a gap marker).

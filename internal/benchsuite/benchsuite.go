@@ -336,10 +336,10 @@ func (s *Suite) Benches() []Bench {
 	// Service paths (PR 7). ServicePlanRequest is the daemon's plan
 	// request end to end minus HTTP: admission, curve gather, and the
 	// cancellable DP under the default deadline. The ReOptimize pair
-	// measures one churn epoch — the group's last member swapped — as the
-	// background loop runs it: warm rebases onto the shared three-layer
-	// prefix and pushes one layer, cold re-runs the full DP from scratch;
-	// their ratio is the warm-start payoff the incremental optimizer buys.
+	// measures one churn epoch — the group's last member swapped: warm
+	// rebases the public partition.Incremental optimizer onto the shared
+	// three-layer prefix and pushes one layer, cold re-runs the full DP
+	// from scratch as the daemon's background loop does.
 	benches = append(benches, Bench{
 		Name: "ServicePlanRequest",
 		Fn:   s.ServicePlanBench(false),

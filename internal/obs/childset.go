@@ -14,6 +14,11 @@ import (
 // overflow child. Eviction is absorption, not deletion: the evicted
 // label's counts merge into the overflow child, so totals across the
 // set stay exact even while identities age out.
+//
+// Every update goes through the set's lock, the same lock eviction
+// holds, so an update and the absorption of its label never interleave:
+// an update through a handle whose label has since been absorbed lands
+// in the overflow child, where the label's earlier counts went.
 
 // DefaultChildSetCap bounds a child set's live label count when the
 // caller passes a non-positive capacity. 256 labels × a handful of
@@ -39,6 +44,8 @@ type ChildSet struct {
 	prefix string
 	cap    int
 
+	// mu guards the index and every family's metrics: updates, eviction
+	// and snapshots all hold it.
 	mu       sync.Mutex
 	children map[string]*childEntry
 	lru      *list.List // Front = most recently used; values are labels
@@ -54,16 +61,20 @@ type childEntry struct {
 }
 
 // A Child is one label's metric family: counters and histograms whose
-// full names are prefix + label + "." + suffix. A nil Child (from a nil
-// set) hands out nil no-op handles.
+// full names are prefix + label + "." + suffix. Its handles update it
+// under the owning set's lock. A nil Child (from a nil set) hands out
+// no-op handles.
 type Child struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
+	cs       *ChildSet
+	counters map[string]int64
 	hists    map[string]*Histogram
+	// absorbed is set when eviction folds this family into the overflow
+	// child; later updates through old handles follow it there.
+	absorbed bool
 }
 
-func newChild() *Child {
-	return &Child{counters: make(map[string]*Counter), hists: make(map[string]*Histogram)}
+func newChild(cs *ChildSet) *Child {
+	return &Child{cs: cs, counters: make(map[string]int64), hists: make(map[string]*Histogram)}
 }
 
 // ChildSet returns the child set registered under prefix, creating it
@@ -86,8 +97,8 @@ func (r *Registry) ChildSet(prefix string, capacity int) *ChildSet {
 			cap:      capacity,
 			children: make(map[string]*childEntry),
 			lru:      list.New(),
-			other:    newChild(),
 		}
+		cs.other = newChild(cs)
 		r.childSets[prefix] = cs
 	}
 	return cs
@@ -120,7 +131,7 @@ func (cs *ChildSet) Child(label string) *Child {
 		cs.lru.Remove(back)
 		cs.evicted++
 	}
-	c := newChild()
+	c := newChild(cs)
 	cs.children[label] = &childEntry{child: c, elem: cs.lru.PushFront(label)}
 	return c
 }
@@ -136,31 +147,72 @@ func (cs *ChildSet) Labels() (live int, evicted int64) {
 	return len(cs.children), cs.evicted
 }
 
-// Counter returns the child's counter for suffix, creating it on first
-// use. Nil-safe.
-func (c *Child) Counter(suffix string) *Counter {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ctr := c.counters[suffix]
-	if ctr == nil {
-		ctr = &Counter{}
-		c.counters[suffix] = ctr
-	}
-	return ctr
+// ChildCounter is a handle on one counter of a Child. The zero value
+// (from a nil Child) is a no-op.
+type ChildCounter struct {
+	c      *Child
+	suffix string
 }
 
-// Histogram returns the child's histogram for suffix, creating it on
-// first use with the given bounds (later calls reuse the first
-// creation's bounds). Nil-safe.
-func (c *Child) Histogram(suffix string, bounds []int64) *Histogram {
-	if c == nil {
-		return nil
+// ChildHistogram is a handle on one histogram of a Child. The zero value
+// (from a nil Child) is a no-op.
+type ChildHistogram struct {
+	c      *Child
+	suffix string
+	bounds []int64
+}
+
+// Counter returns the handle of the child's counter for suffix; the
+// counter is created on its first update. Nil-safe.
+func (c *Child) Counter(suffix string) ChildCounter {
+	return ChildCounter{c: c, suffix: suffix}
+}
+
+// Histogram returns the handle of the child's histogram for suffix; the
+// histogram is created on its first observation with the given bounds
+// (later creations for the same suffix reuse the first one's bounds).
+// Nil-safe.
+func (c *Child) Histogram(suffix string, bounds []int64) ChildHistogram {
+	return ChildHistogram{c: c, suffix: suffix, bounds: bounds}
+}
+
+// live returns the family an update through c must land in: c itself,
+// or the overflow child once c has been absorbed. Called with cs.mu held.
+func (c *Child) live() *Child {
+	if c.absorbed {
+		return c.cs.other
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	return c
+}
+
+// Add increments the counter by n.
+func (h ChildCounter) Add(n int64) {
+	if h.c == nil {
+		return
+	}
+	cs := h.c.cs
+	cs.mu.Lock()
+	h.c.live().counters[h.suffix] += n
+	cs.mu.Unlock()
+}
+
+// Inc increments the counter by one.
+func (h ChildCounter) Inc() { h.Add(1) }
+
+// Observe records one value.
+func (h ChildHistogram) Observe(v int64) {
+	if h.c == nil {
+		return
+	}
+	cs := h.c.cs
+	cs.mu.Lock()
+	h.c.live().histogram(h.suffix, h.bounds).Observe(v)
+	cs.mu.Unlock()
+}
+
+// histogram returns the family's histogram for suffix, creating it with
+// bounds on first use. Called with cs.mu held.
+func (c *Child) histogram(suffix string, bounds []int64) *Histogram {
 	h := c.hists[suffix]
 	if h == nil {
 		h = newHistogram(bounds)
@@ -169,29 +221,19 @@ func (c *Child) Histogram(suffix string, bounds []int64) *Histogram {
 	return h
 }
 
-// absorb folds src's counts into c — the eviction path. Histograms
-// merge bucket-by-bucket when the bounds agree (they always do for one
-// suffix created through one call site); on a mismatch the counts fold
-// into the receiver's +Inf bucket rather than being dropped. src's
-// state is copied out under its lock before the receiver's handles are
-// touched, so two Child locks are never held at once.
+// absorb folds src's counts into c and marks src absorbed — the
+// eviction path, called with cs.mu held. Histograms merge
+// bucket-by-bucket when the bounds agree (they always do for one suffix
+// created through one call site); on a mismatch the counts fold into
+// the receiver's +Inf bucket rather than being dropped.
 func (c *Child) absorb(src *Child) {
-	src.mu.Lock()
-	counters := make(map[string]int64, len(src.counters))
-	for sfx, ctr := range src.counters {
-		counters[sfx] = ctr.Value()
+	for sfx, v := range src.counters {
+		c.counters[sfx] += v
 	}
-	hists := make(map[string]*Histogram, len(src.hists))
 	for sfx, h := range src.hists {
-		hists[sfx] = h
+		c.histogram(sfx, h.bounds).merge(h)
 	}
-	src.mu.Unlock()
-	for sfx, v := range counters {
-		c.Counter(sfx).Add(v)
-	}
-	for sfx, h := range hists {
-		c.Histogram(sfx, h.bounds).merge(h)
-	}
+	src.counters, src.hists, src.absorbed = nil, nil, true
 }
 
 // snapshotInto folds every child's metrics into the flat snapshot maps
@@ -202,11 +244,9 @@ func (cs *ChildSet) snapshotInto(snap *Snapshot) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	fold := func(label string, c *Child) {
-		c.mu.Lock()
-		defer c.mu.Unlock()
 		base := cs.prefix + label + "."
-		for sfx, ctr := range c.counters {
-			snap.Counters[base+sfx] = ctr.Value()
+		for sfx, v := range c.counters {
+			snap.Counters[base+sfx] = v
 		}
 		for sfx, h := range c.hists {
 			snap.Histograms[base+sfx] = h.summary()

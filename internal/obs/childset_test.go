@@ -194,3 +194,27 @@ func TestChildSetConcurrent(t *testing.T) {
 		t.Fatalf("live labels = %d, want <= 8", live)
 	}
 }
+
+// A handle taken before its label is evicted must not lose updates: they
+// land in the overflow child, where the label's earlier counts went.
+func TestChildSetStaleHandleLandsInOverflow(t *testing.T) {
+	reg := NewRegistry()
+	cs := reg.ChildSet("svc.tenant.", 1)
+	a := cs.Child("a")
+	ctr, hist := a.Counter("requests"), a.Histogram("latency_ns", []int64{10})
+	ctr.Inc()
+	cs.Child("b").Counter("requests").Inc() // evicts a
+	ctr.Add(2)
+	hist.Observe(5)
+
+	snap := reg.Snapshot()
+	if got := snap.Counters["svc.tenant.other.requests"]; got != 3 {
+		t.Fatalf("overflow requests = %d, want 3 (1 absorbed + 2 through the stale handle)", got)
+	}
+	if got := snap.Histograms["svc.tenant.other.latency_ns"].Count; got != 1 {
+		t.Fatalf("overflow histogram count = %d, want 1", got)
+	}
+	if _, ok := snap.Counters["svc.tenant.a.requests"]; ok {
+		t.Fatal("evicted label still exported")
+	}
+}

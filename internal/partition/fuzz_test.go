@@ -8,9 +8,9 @@ import (
 
 // fuzzProblem decodes arbitrary fuzz bytes into a partitioning instance:
 // byte 0 picks the program count, byte 1 the unit count, byte 2 the
-// solver selection (auto, exact, forced d&c, forced refinement — the
-// forced rungs must still match the reference bit-for-bit, falling back
-// wherever their certificates reject the instance), and the rest become
+// solver selection (auto, exact, forced refinement — the forced rungs
+// must still match the reference bit-for-bit, falling back wherever the
+// refinement certificate rejects the instance), and the rest become
 // miss-ratio points in [0, 1] — arbitrary shapes, including non-monotone
 // and non-convex curves, since the DP claims optimality with no
 // assumptions on the curves.
@@ -20,7 +20,7 @@ func fuzzProblem(data []byte) (Problem, bool) {
 	}
 	n := int(data[0])%3 + 2      // 2..4 programs
 	units := int(data[1])%24 + 2 // 2..25 units
-	solver := Solver(int(data[2]) % 4)
+	solver := Solver(int(data[2]) % 3)
 	data = data[3:]
 	curves := make([]mrc.Curve, n)
 	for p := range curves {
@@ -45,7 +45,7 @@ func FuzzOptimize(f *testing.F) {
 	f.Add([]byte{2, 8, 200, 150, 100, 50, 25, 10, 5, 1})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{3, 23, 255, 0, 255, 0, 255, 0, 128, 128, 64, 32})
-	// One seed per forced solver rung: exact, d&c, refinement.
+	// One seed per solver selection: exact, refinement, auto.
 	f.Add([]byte{2, 20, 1, 240, 200, 160, 120, 90, 60, 40, 20, 10})
 	f.Add([]byte{2, 20, 2, 240, 200, 160, 120, 90, 60, 40, 20, 10})
 	f.Add([]byte{2, 20, 3, 240, 200, 160, 120, 90, 60, 40, 20, 10})

@@ -20,7 +20,6 @@ const (
 	mPathRefineSolves = "partition.path_refine_solves"
 	mRefineBandCells  = "partition.refine_band_cells"
 	mRefineFallbacks  = "partition.refine_fallbacks"
-	mPathDCLayers     = "partition.path_dc_layers"
 	mPathExactLayers  = "partition.path_exact_layers"
 	mPoolWorkerLayers = "partition.pool_worker_layers"
 	mPoolWorkerCells  = "partition.pool_worker_cells"
@@ -62,9 +61,9 @@ const (
 // exactly that order and compare over exactly the reference's candidate
 // values, so the allocation — including tie-breaking — is bit-identical to
 // ReferenceOptimize *regardless of how the layer values were computed*.
-// That independence is what lets the structured solvers (structured.go,
-// refine.go) schedule the min computations differently while keeping every
-// output bit: they only ever have to reproduce the row values.
+// That independence is what lets the refinement rung (refine.go) prune and
+// schedule the min computations differently while keeping every output
+// bit: it only ever has to reproduce the row values.
 
 const inf = math.MaxFloat64
 
@@ -238,27 +237,6 @@ func cellSumVal(dp, costsRev []float64, off, j0, j1 int) float64 {
 	return best
 }
 
-// cellSum is cellSumVal plus the leftmost strict-improve argmin, used by
-// the divide-and-conquer scheduler, which needs the argmin to split its
-// column windows.
-func cellSum(dp, costsRev []float64, off, j0, j1 int) (float64, int) {
-	dpw := dp[j0 : j1+1]
-	cw := costsRev[off+j0 : off+j1+1 : off+j1+1]
-	cw = cw[:len(dpw)]
-	best := inf
-	bestI := -1
-	for i, v := range dpw {
-		if cand := v + cw[i]; cand < best {
-			best = cand
-			bestI = i
-		}
-	}
-	if bestI < 0 {
-		return inf, -1
-	}
-	return best, j0 + bestI
-}
-
 // cellMinimaxVal is cellSumVal with the max combine. math.Max is used (not
 // a hand-rolled compare) so NaN and signed-zero handling match the original.
 func cellMinimaxVal(dp, costsRev []float64, off, j0, j1 int) float64 {
@@ -316,20 +294,29 @@ type scratch struct {
 	rows     [][]float64 // rows[0] = base row; rows[p+1] = dp after layer p
 	costsRev []float64
 	metas    []layerMeta
-	// refine-only buffers, grown on demand (refine.go). The level tables
-	// ping-pong between lvlBuf0/lvlBuf1 because one level's bounds are
+	// refine-only buffers, grown on demand (refine.go), so a refinement
+	// solve allocates nothing beyond its result. The level tables
+	// ping-pong between lvls[0] and lvls[1] because one level's bounds are
 	// still being read (banding) while the next level's are written. None
 	// of them is cleared on reuse: every cell the refinement reads is
 	// written first, by construction.
 	costBuf  []float64
-	lvlBuf0  []float64
-	lvlBuf1  []float64
+	costRows [][]float64 // per-program cost rows: costBuf or CostTable
+	levels   []int       // granularity schedule, coarsest first
+	cmins    [][]float64 // per-level block-minimum tables in cminBuf
+	lvls     [2]refineLevel
 	upBuf    []float64
 	cminBuf  []float64
 	sweepBuf []float64
+	sufBuf   []float64
 	chBuf    []int32
 	dqBuf    []int32
 	maskBuf  []bool
+	rngBuf   [][2]int // refineBand's per-row surviving ranges
+	candBuf  []int    // the upper-bound candidate allocation
+	spanBuf  []rspan  // the fine band's runs, all layers back to back
+	spanEnd  []int    // spanBuf end offset of each layer's runs
+	spans    [][]rspan
 }
 
 // maxPooledCells caps the arena size kept alive by the pool: large-C solves
@@ -341,42 +328,32 @@ var scratchPool = sync.Pool{New: func() interface{} { return new(scratch) }}
 
 func getScratch(n, C int) *scratch {
 	s := scratchPool.Get().(*scratch)
-	need := (n + 1) * (C + 1)
-	if cap(s.buf) < need {
-		s.buf = make([]float64, need)
-	} else {
-		s.buf = s.buf[:need]
-	}
-	if cap(s.rows) < n+1 {
-		s.rows = make([][]float64, n+1)
-	} else {
-		s.rows = s.rows[:n+1]
-	}
+	grow(&s.buf, (n+1)*(C+1))
+	grow(&s.rows, n+1)
 	for i := 0; i <= n; i++ {
 		s.rows[i] = s.buf[i*(C+1) : (i+1)*(C+1)]
 	}
-	s.costsRev = growFloats(s.costsRev, C+1)
-	if cap(s.metas) < n {
-		s.metas = make([]layerMeta, n)
-	} else {
-		s.metas = s.metas[:n]
-	}
+	grow(&s.costsRev, C+1)
+	grow(&s.metas, n)
 	return s
 }
 
 func putScratch(s *scratch) {
 	if len(s.buf) > maxPooledCells || len(s.costBuf) > maxPooledCells ||
-		len(s.cminBuf) > maxPooledCells || len(s.lvlBuf0) > maxPooledCells {
+		len(s.cminBuf) > maxPooledCells || len(s.lvls[0].flat) > maxPooledCells {
 		return
 	}
 	scratchPool.Put(s)
 }
 
-func growFloats(b []float64, n int) []float64 {
-	if cap(b) < n {
-		return make([]float64, n)
+// grow resizes *b to n elements, reallocating only when its capacity is
+// short, and returns the result. Contents are not cleared.
+func grow[T any](b *[]T, n int) []T {
+	if cap(*b) < n {
+		*b = make([]T, n)
 	}
-	return b[:n]
+	*b = (*b)[:n]
+	return *b
 }
 
 // reconstructAlloc rebuilds the optimal allocation from the retained DP
@@ -438,12 +415,10 @@ func reconstructAlloc(pr *Problem, s *scratch, C int, minimax bool) (Allocation,
 // leaves no partial state beyond the pooled scratch, which is returned
 // intact.
 //
-// The solver ladder (DESIGN.md §13) runs top to bottom, every rung gated
-// by an exactness certificate and falling through on failure:
+// The solver ladder (DESIGN.md §13) has two rungs; refinement is gated by
+// an exactness certificate and falls through on failure:
 //
 //	refine  — whole-solve coarse-to-fine bound pruning (refine.go)
-//	dc      — per-layer divide and conquer + SMAWK on certified-convex
-//	          cost rows (structured.go)
 //	exact   — the gather kernel above, blocked at large windows
 func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	if err := pr.validate(); err != nil {
@@ -451,7 +426,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 	}
 	n, C := len(pr.Curves), pr.Units
 	minimax := pr.Combine == Minimax
-	mode := pr.Solver
 
 	// Trace only the cancellable (ctx != nil) path: the serial Optimize
 	// calls in the sweep's inner loop pass nil and stay instrumentation-
@@ -463,7 +437,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		ctx, ps = obs.StartTraceSpan(ctx, spanSolve, "dp")
 		defer func() {
 			ps.Arg("programs", int64(n)).Arg("units", int64(C)).
-				Arg("dc_layers", int64(path.dcLayers)).
 				Arg("refine", boolArg(path.refine)).End()
 		}()
 	}
@@ -483,8 +456,9 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		base[0] = 0
 	}
 
-	// Rung 1: whole-solve coarse-to-fine refinement.
-	if mode == SolverRefine || (mode == SolverAuto && C >= refineAutoMinUnits) {
+	// Rung 1: whole-solve coarse-to-fine refinement, on every instance
+	// the rung's certificate accepts.
+	if pr.Solver != SolverExact {
 		ok, err := refineSolve(ctx, pr, s, &path)
 		if err != nil {
 			return Solution{}, err
@@ -494,15 +468,13 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		}
 	}
 
-	// Rungs 2–3: per-layer d&c/SMAWK on certified layers, exact kernel
-	// otherwise.
+	// Rung 2: the exact kernel, layer by layer.
 	var pool *dpPool
 	if workers > 1 {
 		pool = newDPPool(workers, C)
 		defer pool.close()
 	}
 
-	tryDC := !minimax && (mode == SolverDC || mode == SolverAuto || mode == SolverRefine)
 	spec := layerSpec{minimax: minimax}
 	prevLo, prevHi := 0, 0
 	costBound := 0.0
@@ -517,7 +489,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		lo, hi := pr.bounds(p)
 		costsRev := s.costsRev[:hi-lo+1]
 		layerMax := 0.0
-		cert := newLayerCert(tryDC)
 		for u := lo; u <= hi; u++ {
 			c := pr.cost(p, u)
 			costsRev[hi-lo-(u-lo)] = c
@@ -529,7 +500,6 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 					layerMax = math.Inf(1)
 				}
 			}
-			cert.observe(c)
 		}
 		if minimax {
 			costBound = math.Max(costBound, layerMax)
@@ -543,23 +513,14 @@ func solve(ctx context.Context, pr *Problem, workers int) (Solution, error) {
 		spec.checked = spec.checked || !(costBound < costSafeLimit)
 		spec.blocked = !spec.minimax && !spec.checked &&
 			spec.prevHi-spec.prevLo+1 >= blockedMinWindow
-		useDC := tryDC && !spec.checked && cert.certified() &&
-			(mode == SolverDC || hi-lo+1 >= dcAutoMinWindow)
-		switch {
-		case useDC:
-			_, ls := obs.StartTraceSpan(ctx, spanDPLayer, "dp")
-			dcLayer(&spec, &path)
-			ls.Arg("layer", int64(p)).Arg("dc", 1).End()
-			path.dcLayers++
-		case pool != nil:
+		if pool != nil {
 			_, ls := obs.StartTraceSpan(ctx, spanDPLayer, "dp")
 			pool.runLayer(&spec)
 			ls.Arg("layer", int64(p)).End()
-			path.exactLayers++
-		default:
+		} else {
 			runLayerRange(&spec, 0, C)
-			path.exactLayers++
 		}
+		path.exactLayers++
 		s.metas[p] = layerMeta{lo: lo, hi: hi, prevLo: prevLo, prevHi: prevHi}
 		path.cells += int64(C + 1)
 		prevLo += lo
@@ -587,9 +548,6 @@ func finishSolve(pr *Problem, s *scratch, C int, minimax bool, path *solvePath) 
 		}
 		if path.refineFallback {
 			reg.Counter(mRefineFallbacks).Inc()
-		}
-		if path.dcLayers > 0 {
-			reg.Counter(mPathDCLayers).Add(int64(path.dcLayers))
 		}
 		if path.exactLayers > 0 {
 			reg.Counter(mPathExactLayers).Add(int64(path.exactLayers))

@@ -23,8 +23,8 @@ import (
 // survives pruning; the surviving band is solved by the exact kernels over
 // the exact costs; and reconstructAlloc's full-window rescan reproduces
 // the reference tie-breaking bit for bit (see the soundness walk-through
-// in DESIGN.md §13.3). Every guard failure falls back to the per-layer
-// ladder, so refinement can be slow to decline but never wrong.
+// in DESIGN.md §13.3). Every guard failure falls back to the exact
+// kernel, so refinement can be slow to decline but never wrong.
 //
 // Eligibility: Sum objective, no per-program bounds, n ≥ 2 programs, and
 // every cost finite, non-negative, and free of negative zeros. Relative
@@ -32,12 +32,8 @@ import (
 // costs are declined rather than risked.
 
 const (
-	// refineAutoMinUnits is the C at or above which SolverAuto attempts
-	// refinement; below it the exact kernel is already fast enough that
-	// the coarse solves would dominate.
-	refineAutoMinUnits = 2048
-	// refineMinUnits is the hard floor even under SolverRefine: below it
-	// no useful level schedule exists.
+	// refineMinUnits is the rung's floor: below it no useful level
+	// schedule exists and the exact kernel solves the instance.
 	refineMinUnits = 512
 	// refineMargin is the relative slack added to the upper bound before
 	// pruning. It exceeds the worst-case relative float64 drift of the
@@ -78,6 +74,7 @@ type refineLevel struct {
 	// its reads to these spans.
 	dspan [][2]int
 	espan [][2]int
+	flat  []float64 // backing store of dlow and elow
 }
 
 // refineSolve attempts the refinement rung. On success it fills s.rows and
@@ -99,14 +96,9 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	// Materialize the cost table (or alias a caller-provided one) and
 	// certify it in the same pass: finite, non-negative, no negative
 	// zeros, cumulative magnitude inside the unchecked-kernel safe range.
-	costs := make([][]float64, n)
+	costs := grow(&s.costRows, n)
 	if pr.CostTable == nil {
-		need := n * (C + 1)
-		if cap(s.costBuf) < need {
-			s.costBuf = make([]float64, need)
-		} else {
-			s.costBuf = s.costBuf[:need]
-		}
+		grow(&s.costBuf, n*(C+1))
 	}
 	costBound := 0.0
 	for p := 0; p < n; p++ {
@@ -156,24 +148,25 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	if top < 2 {
 		return false, nil
 	}
-	var gs []int
+	gs := s.levels[:0]
 	for g := top; g >= 2; g /= refineLevelRatio {
 		gs = append(gs, g)
 	}
 	if gs[len(gs)-1] == 8 {
 		gs = append(gs, 4)
 	}
+	s.levels = gs
 
 	// Block-minimum pyramids, built fine-to-coarse so each level's table
 	// costs O(n·TB_child) instead of rescanning all n·(C+1) fine cells.
 	// All levels share one pooled arena; every entry is written below, so
 	// reuse needs no clearing.
-	cmins := make([][]float64, len(gs))
+	cmins := grow(&s.cmins, len(gs))
 	cminTotal := 0
 	for _, g := range gs {
 		cminTotal += n * (C/g + 1)
 	}
-	s.cminBuf = growFloats(s.cminBuf, cminTotal)
+	grow(&s.cminBuf, cminTotal)
 	cminOff := 0
 	for i := len(gs) - 1; i >= 0; i-- {
 		g := gs[i]
@@ -279,7 +272,7 @@ func refineSolve(ctx context.Context, pr *Problem, s *scratch, path *solvePath) 
 	}
 
 	// Band the fine grid and solve the surviving cells exactly.
-	spans, work := refineBandFine(lv, n, C, B)
+	spans, work := refineBandFine(lv, n, C, B, s)
 	if work > budget {
 		path.refineFallback = true
 		return false, nil
@@ -322,22 +315,16 @@ func refineCtxCheck(ctx context.Context) error {
 func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, allowB []bool, rngF, rngB [][2]int, upper bool, s *scratch, parity int) (*refineLevel, []int, float64) {
 	TB := C/g + 1
 
-	lv := &refineLevel{g: g, TB: TB}
-	lv.dlow = make([][]float64, n)
-	lv.elow = make([][]float64, n)
-	lv.dspan = make([][2]int, n)
-	lv.espan = make([][2]int, n)
-	// Ping-pong between the two pooled arenas: the previous level's rows
+	// Ping-pong between the two pooled levels: the previous level's rows
 	// are still read (by the banding that produced rngF/rngB) after this
 	// level starts writing.
-	var flat []float64
-	if parity == 0 {
-		s.lvlBuf0 = growFloats(s.lvlBuf0, 2*n*TB)
-		flat = s.lvlBuf0
-	} else {
-		s.lvlBuf1 = growFloats(s.lvlBuf1, 2*n*TB)
-		flat = s.lvlBuf1
-	}
+	lv := &s.lvls[parity]
+	lv.g, lv.TB = g, TB
+	flat := grow(&lv.flat, 2*n*TB)
+	grow(&lv.dlow, n)
+	grow(&lv.elow, n)
+	grow(&lv.dspan, n)
+	grow(&lv.espan, n)
 	for p := 0; p < n; p++ {
 		lv.dlow[p] = flat[p*TB : (p+1)*TB]
 		lv.elow[p] = flat[(n+p)*TB : (n+p+1)*TB]
@@ -345,7 +332,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	var dup, crep []float64
 	var chUp []int32
 	if upper {
-		s.upBuf = growFloats(s.upBuf, 2*n*TB)
+		grow(&s.upBuf, 2*n*TB)
 		dup = s.upBuf[:n*TB]
 		// Representative costs gathered into contiguous rows once: the
 		// upper DP's inner loop re-reads them per cell, and the strided
@@ -359,7 +346,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 				cr[T] = row[T*g]
 			}
 		}
-		chUp = growInt32s(&s.chBuf, n*TB)
+		chUp = grow(&s.chBuf, n*TB)
 	}
 	rowRange := func(rng [][2]int, p int) (int, int) {
 		if rng == nil {
@@ -543,7 +530,7 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	if Su < lv.dspan[n-1][0] || Su > lv.dspan[n-1][1] || dup[(n-1)*TB+Su] == inf {
 		return lv, nil, inf
 	}
-	alloc := make([]int, n)
+	alloc := grow(&s.candBuf, n)
 	S := Su
 	for p := n - 1; p >= 1; p-- {
 		T := int(chUp[p*TB+S])
@@ -558,15 +545,15 @@ func refineComputeLevel(n, C, g int, costs [][]float64, cmin []float64, allowF, 
 	return lv, alloc, obj
 }
 
-// refinePolish hill-climbs an upper-bound allocation at fine granularity:
-// pairwise moves in power-of-two step sizes, screened by incremental cost
-// deltas and restarted at step 1 after every acceptance. The final
-// objective is re-accumulated from scratch in layer order, so the returned
-// bound remains an achievable float64 path value regardless of what the
-// (cancellation-prone) screening deltas did; B only ever tightens.
-func refinePolish(costs [][]float64, alloc []int, C int, B float64) float64 {
-	n := len(alloc)
-	a := append([]int(nil), alloc...)
+// refinePolish hill-climbs an upper-bound allocation at fine granularity,
+// in place: pairwise moves in power-of-two step sizes, screened by
+// incremental cost deltas and restarted at step 1 after every acceptance.
+// The final objective is re-accumulated from scratch in layer order, so
+// the returned bound remains an achievable float64 path value regardless
+// of what the (cancellation-prone) screening deltas did; B only ever
+// tightens.
+func refinePolish(costs [][]float64, a []int, C int, B float64) float64 {
+	n := len(a)
 	moves := 0
 	for moved := true; moved && moves < 4096; {
 		moved = false
@@ -599,23 +586,6 @@ func refinePolish(costs [][]float64, alloc []int, C int, B float64) float64 {
 		return obj
 	}
 	return B
-}
-
-// growInt32s and growBools mirror growFloats for the refine scratch.
-func growInt32s(b *[]int32, n int) []int32 {
-	if cap(*b) < n {
-		*b = make([]int32, n)
-	}
-	*b = (*b)[:n]
-	return *b
-}
-
-func growBools(b *[]bool, n int) []bool {
-	if cap(*b) < n {
-		*b = make([]bool, n)
-	}
-	*b = (*b)[:n]
-	return *b
 }
 
 // bandSweep fills out[S2] with the minimum of row over the block window a
@@ -718,15 +688,14 @@ func bandSweep(row []float64, fMin, fMax, TB2, g2, C, wTarget, wRow, g int, rev 
 func refineBand(lv *refineLevel, n, C, g2 int, B float64, s *scratch) (allowF, allowB []bool, rngF, rngB [][2]int, work int64) {
 	TB2 := C/g2 + 1
 	limit := B * (1 + refineMargin)
-	mask := growBools(&s.maskBuf, 2*n*TB2)
+	mask := grow(&s.maskBuf, 2*n*TB2)
 	allowF, allowB = mask[:n*TB2], mask[n*TB2:]
-	rngF = make([][2]int, n)
-	rngB = make([][2]int, n)
+	rng := grow(&s.rngBuf, 2*n)
+	rngF, rngB = rng[:n], rng[n:]
 	g := lv.g
-	buf := growFloats(s.sweepBuf, 2*TB2)
-	s.sweepBuf = buf
+	buf := grow(&s.sweepBuf, 2*TB2)
 	opp, own := buf[:TB2], buf[TB2:]
-	dq := growInt32s(&s.dqBuf, lv.TB)
+	dq := grow(&s.dqBuf, lv.TB)
 	// combine intersects the two sweeps' ranges, writes the mask row
 	// unconditionally there (the pooled mask arena is never cleared), and
 	// returns the surviving range. zeroHas flags the empty-prefix/suffix
@@ -814,10 +783,15 @@ type rspan struct{ a, b int }
 // so each layer costs two division-free sliding-window-minimum sweeps —
 // one for the suffix bounds (indexed by remaining units m), one fused with
 // the prefix bounds and the span emission.
-func refineBandFine(lv *refineLevel, n, C int, B float64) ([][]rspan, int64) {
+func refineBandFine(lv *refineLevel, n, C int, B float64, s *scratch) ([][]rspan, int64) {
 	limit := B * (1 + refineMargin)
-	spans := make([][]rspan, n)
-	suf := make([]float64, C+1)
+	// Every layer's runs append to one pooled buffer; spanEnd[p] marks
+	// where layer p's runs stop, and the per-layer views are cut only
+	// after the last append, when the buffer can no longer move.
+	runs := s.spanBuf[:0]
+	spanEnd := grow(&s.spanEnd, n)
+	suf := grow(&s.sufBuf, C+1)
+	dq := grow(&s.dqBuf, lv.TB)
 	var work int64
 	prevCells := int64(1)
 	for p := 0; p < n; p++ {
@@ -845,19 +819,27 @@ func refineBandFine(lv *refineLevel, n, C int, B float64) ([][]rspan, int64) {
 				}
 			}
 			if best <= limit {
-				spans[p] = []rspan{{C, C}}
+				runs = append(runs, rspan{C, C})
 				cells = 1
 			}
 		} else {
 			esp := lv.espan[p+1]
-			sufLo, sufHi := slidingLB(lv.elow[p+1], esp[0], esp[1], (n-p-1)*(lv.g-1), lv.g, C, suf)
+			sufLo, sufHi := slidingLB(lv.elow[p+1], esp[0], esp[1], (n-p-1)*(lv.g-1), lv.g, C, suf, dq)
 			if sufHi >= sufLo {
 				dsp := lv.dspan[p]
-				spans[p], cells = emitFineSpans(lv.dlow[p], dsp[0], dsp[1], suf, sufLo, sufHi, (p+1)*(lv.g-1), lv.g, C, limit)
+				runs, cells = emitFineSpans(runs, lv.dlow[p], dsp[0], dsp[1], suf, sufLo, sufHi, (p+1)*(lv.g-1), lv.g, C, limit, dq)
 			}
 		}
+		spanEnd[p] = len(runs)
 		work += cells * prevCells
 		prevCells = cells
+	}
+	s.spanBuf = runs
+	spans := grow(&s.spans, n)
+	start := 0
+	for p := range spans {
+		spans[p] = runs[start:spanEnd[p]]
+		start = spanEnd[p]
 	}
 	return spans, work
 }
@@ -868,8 +850,9 @@ func refineBandFine(lv *refineLevel, n, C int, B float64) ([][]rspan, int64) {
 // that range [lo, hi] (hi < lo when the row is empty). Entries outside the
 // range are not written; callers must treat them as +inf. Monotone-deque
 // sweep, O(range) with no per-x divisions: both window ends advance by at
-// most one block per step.
-func slidingLB(row []float64, sMin, sMax, slack, g, C int, out []float64) (lo, hi int) {
+// most one block per step. dq is the deque's storage, at least
+// sMax−sMin+1 long.
+func slidingLB(row []float64, sMin, sMax, slack, g, C int, out []float64, dq []int32) (lo, hi int) {
 	if sMax < sMin {
 		return 0, -1
 	}
@@ -881,7 +864,6 @@ func slidingLB(row []float64, sMin, sMax, slack, g, C int, out []float64) (lo, h
 	if hi > C {
 		hi = C
 	}
-	dq := make([]int32, sMax-sMin+1)
 	head, tail := 0, 0
 	sLo := 0
 	if a := lo - slack; a > 0 {
@@ -935,16 +917,17 @@ func slidingLB(row []float64, sMin, sMax, slack, g, C int, out []float64) (lo, h
 }
 
 // emitFineSpans runs the prefix sliding window over dlow and fuses the
-// band test pref(t) + suf[C−t] ≤ limit, emitting maximal runs of
-// surviving t. suf is only valid on [sufLo, sufHi]; outside it the suffix
-// bound is +inf and the cell cannot survive.
-func emitFineSpans(dlow []float64, sMin, sMax int, suf []float64, sufLo, sufHi, slack, g, C int, limit float64) ([]rspan, int64) {
+// band test pref(t) + suf[C−t] ≤ limit, appending maximal runs of
+// surviving t to out. suf is only valid on [sufLo, sufHi]; outside it the
+// suffix bound is +inf and the cell cannot survive. dq is the deque's
+// storage, at least sMax−sMin+1 long.
+func emitFineSpans(out []rspan, dlow []float64, sMin, sMax int, suf []float64, sufLo, sufHi, slack, g, C int, limit float64, dq []int32) ([]rspan, int64) {
 	if sMax < sMin {
-		return nil, 0
+		return out, 0
 	}
 	tLo := sMin * g
 	if tLo > C {
-		return nil, 0
+		return out, 0
 	}
 	tHi := sMax*g + g - 1 + slack
 	if tHi > C {
@@ -958,11 +941,9 @@ func emitFineSpans(dlow []float64, sMin, sMax int, suf []float64, sufLo, sufHi, 
 		tHi = hi2
 	}
 	if tLo > tHi {
-		return nil, 0
+		return out, 0
 	}
-	var out []rspan
 	var cells int64
-	dq := make([]int32, sMax-sMin+1)
 	head, tail := 0, 0
 	sLo := 0
 	if a := tLo - slack; a > 0 {

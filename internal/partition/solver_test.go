@@ -4,14 +4,13 @@ import (
 	"math"
 	"math/rand/v2"
 	"reflect"
-	"strings"
 	"testing"
 
 	"partitionshare/internal/mrc"
 )
 
 // allSolvers enumerates every forced mode plus auto.
-var allSolvers = []Solver{SolverAuto, SolverExact, SolverDC, SolverRefine}
+var allSolvers = []Solver{SolverAuto, SolverExact, SolverRefine}
 
 // checkBitExact asserts that solving pr under every solver mode yields the
 // reference solution bit for bit: objective, allocation, and tie-breaking.
@@ -47,14 +46,13 @@ func TestSolverModesBitExactRandom(t *testing.T) {
 	}
 }
 
-// TestNonConvexForcedDCFallsBack feeds adversarial non-convex cost curves
-// (sawtooth, random jumps, a flat row with one spike) through SolverDC:
-// the convexity certificate must reject every layer, the path must report
-// the exact kernel ran, and the result must match the reference bit for
-// bit.
-func TestNonConvexForcedDCFallsBack(t *testing.T) {
+// TestNonConvexCostTablesBitExact feeds adversarial non-convex cost rows
+// (sawtooth, random jumps, a flat row with one spike) through every
+// solver mode: the refinement rung must take them and still match the
+// reference bit for bit.
+func TestNonConvexCostTablesBitExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
-	units := 700 // above dcAutoMinWindow so d&c would fire if certified
+	units := 700
 	mk := func(f func(u int) float64) []float64 {
 		row := make([]float64, units+1)
 		for u := range row {
@@ -80,21 +78,21 @@ func TestNonConvexForcedDCFallsBack(t *testing.T) {
 	for p := range curves {
 		curves[p] = mkCurve("nc", 1000, 1, 0.5)
 	}
-	pr := Problem{Curves: curves, Units: units, CostTable: tab, Solver: SolverDC}
+	pr := Problem{Curves: curves, Units: units, CostTable: tab}
 	got, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SolverPath != "exact" {
-		t.Errorf("non-convex forced dc: path %q, want %q (certificate must reject)", got.SolverPath, "exact")
+	if got.SolverPath != "refine" {
+		t.Errorf("non-convex auto: path %q, want %q", got.SolverPath, "refine")
 	}
-	pr.Solver = SolverAuto
 	checkBitExact(t, pr, "non-convex")
 }
 
-// TestConvexForcedDCFires builds exactly convex cost rows and checks the
-// d&c/SMAWK rung both fires and matches the reference.
-func TestConvexForcedDCFires(t *testing.T) {
+// TestConvexCostTablesBitExact runs exactly convex cost rows — the shape
+// on which argmins are monotone and ties are rare — through every solver
+// mode against the reference.
+func TestConvexCostTablesBitExact(t *testing.T) {
 	units := 900
 	n := 3
 	tab := make([][]float64, n)
@@ -110,13 +108,13 @@ func TestConvexForcedDCFires(t *testing.T) {
 	for p := range curves {
 		curves[p] = mkCurve("cv", 1000, 1, 0.5)
 	}
-	pr := Problem{Curves: curves, Units: units, CostTable: tab, Solver: SolverDC}
+	pr := Problem{Curves: curves, Units: units, CostTable: tab}
 	got, err := Optimize(pr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(got.SolverPath, "dc") {
-		t.Errorf("convex forced dc: path %q, want a dc rung", got.SolverPath)
+	if got.SolverPath != "refine" {
+		t.Errorf("convex auto: path %q, want %q", got.SolverPath, "refine")
 	}
 	checkBitExact(t, pr, "convex")
 }
@@ -152,21 +150,23 @@ func TestRefineDifferentialLargeC(t *testing.T) {
 	checkBitExact(t, pr, "refine-range")
 }
 
-// TestRefineAutoFires asserts auto mode actually takes the refinement rung
-// at large C on well-behaved curves, and that bounds or minimax disable it.
+// TestRefineAutoFires asserts auto mode takes the refinement rung from
+// the rung's floor up on well-behaved curves, and that bounds or minimax
+// disable it.
 func TestRefineAutoFires(t *testing.T) {
-	pr := randProblem(5, 4, refineAutoMinUnits)
-	got, err := Optimize(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.SolverPath != "refine" {
-		t.Errorf("auto at C=%d: path %q, want %q", refineAutoMinUnits, got.SolverPath, "refine")
+	for _, units := range []int{refineMinUnits, 1024, 2048} {
+		got, err := Optimize(randProblem(5, 4, units))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.SolverPath != "refine" {
+			t.Errorf("auto at C=%d: path %q, want %q", units, got.SolverPath, "refine")
+		}
 	}
 
 	// Per-program bounds make the instance ineligible; auto must still solve
-	// it exactly through the per-layer ladder.
-	prB := randProblem(5, 4, refineAutoMinUnits)
+	// it exactly on the exact kernel.
+	prB := randProblem(5, 4, 2048)
 	prB.MinAlloc = []int{10, 0, 0, 0}
 	sol, err := Optimize(prB)
 	if err != nil {
@@ -175,8 +175,8 @@ func TestRefineAutoFires(t *testing.T) {
 	if sol.Alloc[0] < 10 {
 		t.Errorf("bounds violated: %v", sol.Alloc)
 	}
-	if strings.Contains(sol.SolverPath, "refine") && sol.SolverPath == "refine" {
-		t.Errorf("bounded instance took refine path: %q", sol.SolverPath)
+	if sol.SolverPath != "exact" {
+		t.Errorf("bounded instance: path %q, want exact", sol.SolverPath)
 	}
 	ref, err := ReferenceOptimize(prB)
 	if err != nil {
@@ -186,7 +186,7 @@ func TestRefineAutoFires(t *testing.T) {
 		t.Errorf("bounded large-C: %v/%v vs reference %v/%v", sol.Objective, sol.Alloc, ref.Objective, ref.Alloc)
 	}
 
-	prM := randProblem(5, 3, refineAutoMinUnits)
+	prM := randProblem(5, 3, 2048)
 	prM.Combine = Minimax
 	solM, err := Optimize(prM)
 	if err != nil {
@@ -221,86 +221,11 @@ func TestRefineNegativeCostsFallBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(got.SolverPath, "refine-fallback+") {
-		t.Errorf("negative costs: path %q, want refine-fallback prefix", got.SolverPath)
+	if got.SolverPath != "refine-fallback+exact" {
+		t.Errorf("negative costs: path %q, want refine-fallback+exact", got.SolverPath)
 	}
 	pr.Solver = SolverAuto
 	checkBitExact(t, pr, "negative-costs")
-}
-
-// TestSMAWKMatchesDirectScan cross-checks smawkSolve against a direct
-// leftmost-argmin scan on random Monge matrices built as dp[j] + convex
-// offsets — the exact shape dcLayer feeds it.
-func TestSMAWKMatchesDirectScan(t *testing.T) {
-	rng := rand.New(rand.NewPCG(17, 23))
-	for trial := 0; trial < 30; trial++ {
-		nRows := rng.IntN(120) + 1
-		nCols := rng.IntN(120) + 1
-		dp := make([]float64, nCols)
-		for j := range dp {
-			dp[j] = rng.Float64() * 100
-		}
-		// Convex offsets with random (non-negative) second differences;
-		// duplicate plateaus exercise tie handling.
-		off := make([]float64, nRows+nCols)
-		slope := rng.Float64() * 2
-		for i := 1; i < len(off); i++ {
-			off[i] = off[i-1] + slope
-			if rng.IntN(3) == 0 {
-				slope += rng.Float64()
-			}
-		}
-		A := func(t, j int) float64 { return dp[j] + off[t-j+nCols-1] }
-		rows := make([]int, nRows)
-		for i := range rows {
-			rows[i] = i
-		}
-		cols := make([]int, nCols)
-		for j := range cols {
-			cols[j] = j
-		}
-		arg := smawkSolve(rows, cols, A)
-		for i, r := range rows {
-			bestV := A(r, 0)
-			for j := 1; j < nCols; j++ {
-				if A(r, j) < bestV {
-					bestV = A(r, j)
-				}
-			}
-			if got := A(r, arg[i]); got != bestV {
-				t.Fatalf("trial %d row %d: smawk value %v, direct %v", trial, r, got, bestV)
-			}
-		}
-		for i := 1; i < len(arg); i++ {
-			if arg[i] < arg[i-1] {
-				t.Fatalf("trial %d: argmins not monotone: %v", trial, arg)
-			}
-		}
-	}
-}
-
-func TestSecondDiffNonnegExact(t *testing.T) {
-	cases := []struct {
-		a, b, c float64
-		want    bool
-	}{
-		{0, 0, 0, true},
-		{1, 1, 1, true},
-		{1, 2, 3, true}, // exactly linear
-		{1, 2, 2.5, false},
-		{1e16, 1e16 + 1, 1e16 + 2, true}, // linear at the ulp edge
-		{1e16, 1e16 + 2, 1e16 + 2, false},
-		// fl(0.1)+fl(0.3) = 0.39999999999999999444… < 2·fl(0.2) =
-		// 0.40000000000000002220… over the reals: the stored values are
-		// *not* convex here even though the real numbers 0.1, 0.2, 0.3 are
-		// linear — exactly the distinction the exact test must draw.
-		{0.1, 0.2, 0.3, false},
-	}
-	for _, tc := range cases {
-		if got := secondDiffNonneg(tc.a, tc.b, tc.c); got != tc.want {
-			t.Errorf("secondDiffNonneg(%v,%v,%v) = %v, want %v", tc.a, tc.b, tc.c, got, tc.want)
-		}
-	}
 }
 
 func TestValidateSizeGuards(t *testing.T) {
@@ -382,7 +307,7 @@ func TestRefineMatchesExactOnCostTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SolverPath != "refine" && !strings.HasPrefix(got.SolverPath, "refine-fallback+") {
+	if got.SolverPath != "refine" && got.SolverPath != "refine-fallback+exact" {
 		t.Errorf("plateaus forced refine: path %q", got.SolverPath)
 	}
 }

@@ -26,12 +26,13 @@ var ErrInvalidProfile = errors.New("reuse: invalid profile")
 // N(w) = Σ_{v>w} count(v) over a multiset of positive integer values, in
 // O(log k) per query after O(k log k) construction. The HOTL footprint
 // formula is three such queries: over reuse times, first-access times, and
-// reverse last-access times.
+// reverse last-access times. The multiplicity of values[i] is not stored:
+// it is sufCnt[i] − sufCnt[i+1], which keeps a profile held in memory (the
+// daemon holds one per tenant) a quarter smaller.
 type TailSum struct {
 	values []int64 // sorted ascending, unique
-	counts []int64 // counts[i] = multiplicity of values[i]
-	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} counts[j]
-	sufSum []int64 // sufSum[i] = Σ_{j>=i} values[j]*counts[j]
+	sufCnt []int64 // sufCnt[i] = Σ_{j>=i} count(values[j])
+	sufSum []int64 // sufSum[i] = Σ_{j>=i} values[j]·count(values[j])
 }
 
 // NewTailSum builds a TailSum from a value→count histogram.
@@ -51,11 +52,14 @@ func NewTailSum(hist map[int64]int64) TailSum {
 		ts.values = append(ts.values, v)
 	}
 	sort.Slice(ts.values, func(i, j int) bool { return ts.values[i] < ts.values[j] })
-	ts.counts = make([]int64, len(ts.values))
-	for i, v := range ts.values {
-		ts.counts[i] = hist[v]
+	ts.sufCnt = make([]int64, len(ts.values)+1)
+	ts.sufSum = make([]int64, len(ts.values)+1)
+	for i := len(ts.values) - 1; i >= 0; i-- {
+		v := ts.values[i]
+		c := hist[v]
+		ts.sufCnt[i] = ts.sufCnt[i+1] + c
+		ts.sufSum[i] = ts.sufSum[i+1] + v*c
 	}
-	ts.buildSuffixes()
 	return ts
 }
 
@@ -76,27 +80,23 @@ func newTailSumDense(hist []int32) TailSum {
 		}
 	}
 	ts := TailSum{
-		values: make([]int64, 0, k),
-		counts: make([]int64, 0, k),
+		values: make([]int64, k),
+		sufCnt: make([]int64, k+1),
+		sufSum: make([]int64, k+1),
 	}
-	for v, c := range hist {
+	// One descending scan fills the values and both suffix tables.
+	i := k
+	for v := len(hist) - 1; v >= 0; v-- {
+		c := int64(hist[v])
 		if c == 0 {
 			continue
 		}
-		ts.values = append(ts.values, int64(v))
-		ts.counts = append(ts.counts, int64(c))
+		i--
+		ts.values[i] = int64(v)
+		ts.sufCnt[i] = ts.sufCnt[i+1] + c
+		ts.sufSum[i] = ts.sufSum[i+1] + int64(v)*c
 	}
-	ts.buildSuffixes()
 	return ts
-}
-
-func (ts *TailSum) buildSuffixes() {
-	ts.sufCnt = make([]int64, len(ts.values)+1)
-	ts.sufSum = make([]int64, len(ts.values)+1)
-	for i := len(ts.values) - 1; i >= 0; i-- {
-		ts.sufCnt[i] = ts.sufCnt[i+1] + ts.counts[i]
-		ts.sufSum[i] = ts.sufSum[i+1] + ts.values[i]*ts.counts[i]
-	}
 }
 
 // Total returns the total multiplicity of the multiset.
@@ -123,7 +123,7 @@ func (ts TailSum) CountGreater(w int64) int64 {
 // It is the export half of NewTailSum, used to serialize profiles.
 func (ts TailSum) Each(fn func(value, count int64)) {
 	for i, v := range ts.values {
-		fn(v, ts.counts[i])
+		fn(v, ts.sufCnt[i]-ts.sufCnt[i+1])
 	}
 }
 

@@ -25,7 +25,6 @@ func testEpochRecord(epoch int64) EpochRecord {
 			Cause:       CauseChurn,
 			InputDigest: fmt.Sprintf("%032x", epoch),
 			SolverPath:  "exact",
-			WarmStart:   epoch > 1,
 			ComputeNS:   1000 * epoch,
 			UnixNS:      epoch, // fixed, so canonical bytes are comparable
 		},

@@ -21,7 +21,9 @@ import (
 // the latency histogram (p99 source) landing in a parseable manifest,
 // and a drain fired while the pool is still running must drop zero
 // admitted requests — every response is either a 200 or a typed
-// refusal, never a torn connection on an admitted solve.
+// refusal, never a torn connection on an admitted solve. The throughput
+// floor is checked only without the race detector, whose slowdown it
+// would otherwise measure; the drain and zero-drop checks run in both.
 func TestLoadThroughputAndDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test")
@@ -84,7 +86,7 @@ func TestLoadThroughputAndDrain(t *testing.T) {
 	rps := float64(total) / elapsed.Seconds()
 	t.Logf("load: %d requests (%d ok, %d typed-shed) in %v = %.0f req/s",
 		total, ok.Load(), typed.Load(), elapsed.Round(time.Millisecond), rps)
-	if rps < 1000 {
+	if !raceEnabled && rps < 1000 {
 		t.Fatalf("sustained only %.0f req/s, want >= 1000", rps)
 	}
 

@@ -136,7 +136,7 @@ func (c *Config) normalize() {
 // A Plan is a served partition decision: the co-run group, the optimal
 // allocation, and its objective, all bit-exact with what a cold
 // ReferenceOptimize of the same group computes (the differential tests
-// pin this for fresh, warm-started, and degraded-stale plans alike).
+// pin this for fresh and degraded-stale plans alike).
 type Plan struct {
 	Epoch          int64     `json:"epoch"`
 	Tenants        []string  `json:"tenants"`
@@ -146,10 +146,9 @@ type Plan struct {
 	GroupMissRatio float64   `json:"group_miss_ratio"`
 	MissRatios     []float64 `json:"miss_ratios"`
 	SolverPath     string    `json:"solver_path,omitempty"`
-	WarmReused     int       `json:"warm_reused_layers"`
 	// Provenance records where this plan came from: the input digest,
-	// solver path, warm/cold start, compute duration, triggering cause,
-	// and trace (provenance.go). Every served plan carries one.
+	// solver path, compute duration, triggering cause, and trace
+	// (provenance.go). Every served plan carries one.
 	Provenance *PlanProvenance `json:"provenance,omitempty"`
 	// Degraded marks a plan served while it no longer reflects the
 	// current tenant set — background re-optimization is failing or has
@@ -160,9 +159,8 @@ type Plan struct {
 
 // A Service owns the tenant registry, serves plan queries under
 // admission control with deadline propagation, and re-optimizes the
-// shared plan in the background as tenants churn, warm-starting from
-// the incremental DP and falling back cold when the warm start is
-// stale. Construct with New, then Start the background loop.
+// shared plan in the background as tenants churn, one cold solve per
+// epoch. Construct with New, then Start the background loop.
 type Service struct {
 	cfg     Config
 	store   *Store
@@ -175,11 +173,10 @@ type Service struct {
 
 	mu         sync.Mutex
 	curves     map[string]mrc.Curve // derived at cfg geometry
-	order      []string             // registration order: the warm start's stable prefix
+	order      []string             // registration order: the epoch solve's tenant order
 	churnTrace string               // trace ID of the last churn request, for epoch provenance
 
-	// inc and rng are owned by the reopt goroutine exclusively.
-	inc *partition.Incremental
+	// rng is owned by the reopt goroutine exclusively.
 	rng *rand.Rand
 
 	plan     atomic.Pointer[Plan]
@@ -210,7 +207,6 @@ func New(cfg Config, store *Store) (*Service, error) {
 		audit:   audit,
 		feed:    NewChangeFeed(cfg.FeedBuffer),
 		curves:  make(map[string]mrc.Curve),
-		inc:     partition.NewIncremental(cfg.Units),
 		rng:     rand.New(rand.NewPCG(cfg.Seed, 0x9e3779b97f4a7c15)),
 		churn:   make(chan struct{}, 1),
 		stopped: make(chan struct{}),
@@ -505,8 +501,8 @@ func (s *Service) signalChurn() {
 	}
 }
 
-// snapshotGroup copies the current co-run group in registration order —
-// the order the warm start's prefix reuse keys off.
+// snapshotGroup copies the current co-run group in registration order,
+// the order epoch plans list their tenants in.
 func (s *Service) snapshotGroup() ([]string, []mrc.Curve) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -547,7 +543,6 @@ func (s *Service) reoptimize(ctx context.Context) {
 		if err == nil {
 			s.publishEpoch(plan)
 			reg.Counter(mReoptEpochs).Add(1)
-			reg.Gauge(mReoptWarmReused).Set(int64(plan.WarmReused))
 			return
 		}
 		if ctx.Err() != nil {
@@ -568,10 +563,12 @@ func (s *Service) reoptimize(ctx context.Context) {
 }
 
 // publishEpoch stamps the solved plan with its epoch number and full
-// provenance, diffs it against the previous published plan, stores it,
-// and fans the transition out: audit log first (so /v1/plan/history is
-// already consistent when a feed event arrives), then churn metrics,
-// then the change feed. Runs only on the reopt goroutine.
+// provenance, diffs it against the previous published plan, records the
+// churn metrics (before the plan becomes visible, so a reader that sees
+// the plan also sees its epoch gauge), stores it, and fans the
+// transition out: audit log first (so /v1/plan/history is already
+// consistent when a feed event arrives), then the change feed. Runs only
+// on the reopt goroutine.
 func (s *Service) publishEpoch(plan *Plan) {
 	prev := s.plan.Load()
 	cause := CauseChurn
@@ -584,6 +581,17 @@ func (s *Service) publishEpoch(plan *Plan) {
 	plan.Provenance.TraceID = s.takeChurnTrace()
 	plan.Provenance.UnixNS = time.Now().UnixNano()
 	diff := ComputePlanDiff(prev, plan)
+
+	reg := obs.Enabled()
+	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
+	reg.Counter(mPlanUnitsMoved).Add(int64(diff.UnitsMoved))
+	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
+	for _, td := range diff.Deltas {
+		if td.DeltaUnits != 0 {
+			cs.Child(td.Tenant).Counter(planDeltaUnitsSuffix).Add(int64(abs(td.DeltaUnits)))
+		}
+	}
+
 	s.plan.Store(plan)
 	s.degraded.Store(false)
 
@@ -595,16 +603,6 @@ func (s *Service) publishEpoch(plan *Plan) {
 		Units:      plan.Units,
 	}
 	s.auditAppend(rec)
-
-	reg := obs.Enabled()
-	reg.Gauge(mPlanEpoch).Set(plan.Epoch)
-	reg.Counter(mPlanUnitsMoved).Add(int64(diff.UnitsMoved))
-	cs := reg.ChildSet(mPlanDeltaPrefix, s.cfg.TenantSeriesCap)
-	for _, td := range diff.Deltas {
-		if td.DeltaUnits != 0 {
-			cs.Child(td.Tenant).Counter(planDeltaUnitsSuffix).Add(int64(abs(td.DeltaUnits)))
-		}
-	}
 	s.feed.Publish(rec)
 }
 
@@ -663,10 +661,8 @@ func (s *Service) sleepBackoff(ctx context.Context, attempt int) bool {
 	}
 }
 
-// solveEpoch runs one warm-started solve of the full group under the
-// epoch deadline, falling back to a cold solve when the warm start is
-// stale. Both paths produce the identical bit-exact solution; only the
-// work differs.
+// solveEpoch runs one cold solve of the full group under the epoch
+// deadline.
 func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.Curve) (*Plan, error) {
 	dctx, cancel := context.WithTimeout(ctx, s.cfg.ReoptDeadline)
 	defer cancel()
@@ -679,47 +675,14 @@ func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.C
 		return nil, fmt.Errorf("service: reopt: %w", err)
 	}
 
-	reg := obs.Enabled()
 	digest := InputDigest(names, curves, s.cfg.Units)
 	start := time.Now()
-	warm := true
-	var sol partition.Solution
-	reused, err := s.inc.Rebase(sctx, curves)
-	if err == nil {
-		sol, err = s.inc.Solve()
-		if err == nil {
-			reg.Counter(mReoptWarm).Add(1)
-			reg.Histogram(mReoptWarmNS, obs.DurationBuckets()).Observe(time.Since(start).Nanoseconds())
-			// Outcome split for the churn dashboards: "warm" means prior
-			// layers were actually reused; a fresh full push (first epoch,
-			// wholesale group swap) is a cold solve that happened to run
-			// through the incremental cache.
-			if reused > 0 {
-				reg.Counter(mPlanOutcomeWarm).Add(1)
-			} else {
-				reg.Counter(mPlanOutcomeCold).Add(1)
-				warm = false
-			}
-		}
-	}
+	sol, err := partition.OptimizeParallel(sctx, partition.Problem{Curves: curves, Units: s.cfg.Units}, 1)
 	if err != nil {
-		if !errors.Is(err, partition.ErrWarmStartStale) {
-			return nil, err
-		}
-		// The warm start was rejected (stale layers, cancelled mid-push,
-		// inconsistent cache); fall back to the cold path, which the
-		// differential tests pin bit-exact vs the warm one.
-		reg.Counter(mReoptCold).Add(1)
-		reg.Counter(mPlanOutcomeStaleFall).Add(1)
-		warm = false
-		reused = 0
-		start = time.Now()
-		sol, err = partition.OptimizeParallel(sctx, partition.Problem{Curves: curves, Units: s.cfg.Units}, 1)
-		if err != nil {
-			return nil, err
-		}
-		reg.Histogram(mReoptColdNS, obs.DurationBuckets()).Observe(time.Since(start).Nanoseconds())
+		return nil, err
 	}
+	computeNS := time.Since(start).Nanoseconds()
+	obs.Enabled().Histogram(mReoptSolveNS, obs.DurationBuckets()).Observe(computeNS)
 	return &Plan{
 		Tenants:        names,
 		Units:          s.cfg.Units,
@@ -728,15 +691,12 @@ func (s *Service) solveEpoch(ctx context.Context, names []string, curves []mrc.C
 		GroupMissRatio: sol.GroupMissRatio,
 		MissRatios:     append([]float64(nil), sol.MissRatios...),
 		SolverPath:     sol.SolverPath,
-		WarmReused:     reused,
 		// Epoch, Cause, TraceID, and UnixNS are stamped at publish time
 		// (publishEpoch); the solve fills what only it knows.
 		Provenance: &PlanProvenance{
 			InputDigest: digest,
 			SolverPath:  sol.SolverPath,
-			WarmStart:   warm,
-			WarmReused:  reused,
-			ComputeNS:   time.Since(start).Nanoseconds(),
+			ComputeNS:   computeNS,
 		},
 	}, nil
 }

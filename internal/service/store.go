@@ -1,8 +1,8 @@
 // Package service is the partition-sharing daemon's core: a crash-safe
 // multi-tenant profile store, admission-controlled plan solving with
 // deadline propagation, and an epoch-based background re-optimizer that
-// warm-starts from internal/partition's incremental DP and degrades to
-// the last good plan instead of failing. cmd/partitiond wraps it in an
+// solves each epoch cold and degrades to the last good plan instead of
+// failing. cmd/partitiond wraps it in an
 // HTTP/JSON API; the chaos tests drive every failure path through
 // internal/faultinject.
 package service

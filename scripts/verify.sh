@@ -31,6 +31,15 @@ go test -shuffle=on ./...
 echo "== tier-1: go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
+# Stress: the tests guarding exactness claims that once flaked run many
+# times, so a returning flake fails the gate instead of slipping through
+# a lucky single run — the ChildSet's exact overflow totals under
+# concurrent eviction (race detector on), and the refinement rung's
+# exhaustive oracle and suite-group differentials.
+echo "== stress: ChildSet concurrency, refinement oracles"
+go test -race -count 200 -run TestChildSetConcurrent ./internal/obs
+go test -count 20 -run 'Differential|Exhaustive' ./internal/partition
+
 # Fuzz smoke: each target runs for a few seconds so input-hardening
 # regressions (parser panics, reference divergence) surface in CI-sized
 # time. Targets are pinned here, not discovered, so a renamed target
