@@ -11,18 +11,14 @@ import (
 	"partitionshare/internal/faultinject"
 )
 
-// Append-only log with torn-tail-tolerant replay — the journal half of a
-// snapshot+journal store (internal/service's tenant store). A rename-based
-// atomic write is the wrong tool for an append log (rewriting the whole
-// file per record is O(n²) in records), so this is the one other durable
+// Append-only log with torn-tail-tolerant replay — the log half of a
+// Journal (journal.go). Rewriting a whole file per record through
+// WriteFile would be O(n²) in records, so this is the one other durable
 // write primitive the package blesses: length- and CRC-framed records,
-// each fsynced before Append returns, with a failed append truncated back
-// off the file so the log never accumulates garbage between valid records.
-//
-// Crash contract: a record is durable iff Append returned nil. A crash —
-// including kill -9 — mid-append leaves a torn final frame that Replay
-// detects (short frame or CRC mismatch) and discards, reporting torn=true
-// so the owner can compact. Records before the tail are never affected.
+// each fsynced before Append returns (a record is durable iff Append
+// returned nil), with a failed append truncated back off the file so
+// the log never holds garbage between valid records. A crash mid-append
+// leaves a torn final frame that ReplayLog reports and discards.
 
 // Fault points in the log path (see the WriteFile points above).
 const (
@@ -31,11 +27,13 @@ const (
 	FaultLogAppend = "atomicio.log.append"
 	// FaultLogSync fires between the frame write and its fsync.
 	FaultLogSync = "atomicio.log.sync"
+	// FaultLogReset fires at the head of Reset, before the truncate.
+	FaultLogReset = "atomicio.log.reset"
 )
 
-// ErrLogBroken reports an append log whose file offset could not be
-// restored after a failed append; the log refuses further appends and
-// the owner must compact (rewrite snapshot, recreate the log).
+// ErrLogBroken reports an append log whose file could not be truncated
+// back after a failed append; the log refuses further appends until a
+// successful Reset.
 var ErrLogBroken = errors.New("atomicio: append log broken")
 
 // maxLogRecord bounds a single record's declared length (64 MiB): replay
@@ -43,7 +41,7 @@ var ErrLogBroken = errors.New("atomicio: append log broken")
 const maxLogRecord = 1 << 26
 
 // A Log is a durable append-only record log. Not safe for concurrent
-// Append; the owner serializes writers (the tenant store holds its own
+// Append; the owner serializes writers (a Journal's owner holds its own
 // lock). Construct with OpenLog.
 type Log struct {
 	f      *os.File
@@ -102,53 +100,51 @@ func (l *Log) rollback(start int64, cause error) error {
 	return fmt.Errorf("atomicio: log append: %w", cause)
 }
 
-// Close closes the log file.
-func (l *Log) Close() error {
-	if l == nil || l.f == nil {
-		return nil
+// Reset truncates the log to empty and fsyncs, clearing a broken mark.
+// A failed Reset leaves the log open and appendable as before.
+func (l *Log) Reset() error {
+	err := faultinject.Hit(FaultLogReset)
+	if err == nil {
+		err = l.f.Truncate(0)
 	}
-	return l.f.Close()
+	if err == nil {
+		err = l.f.Sync()
+	}
+	if err != nil {
+		return fmt.Errorf("atomicio: log reset: %w", err)
+	}
+	l.broken = false
+	return nil
 }
 
+// Close closes the log file.
+func (l *Log) Close() error { return l.f.Close() }
+
 // ReplayLog reads every intact record at path in append order, calling
-// fn for each. A torn or corrupt tail — a truncated frame, a CRC
-// mismatch, an implausible length — stops the replay and reports
-// torn=true; everything before it has already been delivered. A missing
-// file replays zero records. fn errors abort the replay.
+// fn for each. The first record that does not check out — a truncated
+// frame, an implausible length, a CRC mismatch anywhere in the file, or
+// a record fn rejects with an error (framed intact but unreadable) —
+// ends the replay with torn=true; everything before it has already been
+// delivered. A missing file replays zero records.
 func ReplayLog(path string, fn func(rec []byte) error) (torn bool, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return false, nil
 	}
 	if err != nil {
 		return false, fmt.Errorf("atomicio: %w", err)
 	}
-	defer f.Close()
-
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return false, fmt.Errorf("atomicio: %w", err)
-	}
-	off := 0
-	for off < len(data) {
+	for off := 0; off < len(data); {
 		length, n := binary.Uvarint(data[off:])
-		if n <= 0 || length > maxLogRecord {
-			return true, nil
-		}
 		recStart := off + n + 4
-		recEnd := recStart + int(length)
-		if recEnd > len(data) || recStart > len(data) {
+		if n <= 0 || length > maxLogRecord || recStart+int(length) > len(data) {
 			return true, nil
 		}
-		sum := binary.LittleEndian.Uint32(data[off+n:])
-		rec := data[recStart:recEnd]
-		if crc32.ChecksumIEEE(rec) != sum {
+		rec := data[recStart : recStart+int(length)]
+		if crc32.ChecksumIEEE(rec) != binary.LittleEndian.Uint32(data[off+n:]) || fn(rec) != nil {
 			return true, nil
 		}
-		if err := fn(rec); err != nil {
-			return false, err
-		}
-		off = recEnd
+		off = recStart + len(rec)
 	}
 	return false, nil
 }

@@ -2,11 +2,7 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"partitionshare/internal/atomicio"
@@ -17,12 +13,8 @@ import (
 // The epoch audit log: the durable half of the plan-lifecycle
 // observability layer. Every epoch transition the re-optimizer publishes
 // is appended here — provenance, structured diff, and the new plan's
-// group and allocation — with the same snapshot+journal machinery and
-// crash contract as the tenant store: an appended record is durable iff
-// Append returned nil; a crash (including kill -9) mid-append leaves a
-// torn tail that replay discards and compacts away; and recovery is
-// deterministic — two opens of the same directory yield byte-identical
-// canonical state. The log also carries the epoch counter across
+// group and allocation — on an atomicio.Journal, with the tenant store's
+// crash contract. The log also carries the epoch counter across
 // restarts: New seeds the service's epoch from LastEpoch, so epochs stay
 // monotonic over the daemon's whole life, not one process's.
 
@@ -70,15 +62,13 @@ type auditDoc struct {
 // An AuditLog is the durable, bounded record of epoch transitions.
 // Construct with OpenAuditLog; safe for concurrent use.
 type AuditLog struct {
-	dir          string
-	retain       int
-	compactEvery int
+	dir    string
+	retain int
 
 	mu        sync.Mutex
 	records   []EpochRecord // epoch ascending, at most retain entries
-	lastEpoch int64
-	log       *atomicio.Log
-	logOps    int
+	lastEpoch int64         // the replay watermark
+	journal   *atomicio.Journal
 }
 
 // OpenAuditLog opens (creating if needed) the epoch audit log in dir,
@@ -89,68 +79,70 @@ func OpenAuditLog(dir string, retain, compactEvery int) (*AuditLog, error) {
 	if retain <= 0 {
 		retain = defaultAuditRetain
 	}
-	if compactEvery <= 0 {
-		compactEvery = defaultCompactEvery
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	a := &AuditLog{dir: dir, retain: retain, compactEvery: compactEvery}
-
-	snapPath := filepath.Join(dir, auditSnapshotFile)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var doc auditDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, snapPath, err)
-		}
-		if doc.Version != auditVersion {
-			return nil, fmt.Errorf("%w: %s: snapshot version %d (want %d)", ErrStoreCorrupt, snapPath, doc.Version, auditVersion)
-		}
-		a.records = doc.Records
-		a.lastEpoch = doc.LastEpoch
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-
-	jPath := filepath.Join(dir, auditJournalFile)
-	replayed := 0
-	torn, err := atomicio.ReplayLog(jPath, func(rec []byte) error {
-		var er EpochRecord
-		if err := json.Unmarshal(rec, &er); err != nil {
-			// Framed but unparseable: damage the CRC cannot see; stop the
-			// replay there, like a torn tail.
-			return errStopReplay
-		}
-		if er.Provenance.Epoch <= a.lastEpoch {
-			return nil // already folded into the snapshot
-		}
-		a.records = append(a.records, er)
-		a.lastEpoch = er.Provenance.Epoch
-		replayed++
-		return nil
+	a := &AuditLog{dir: dir, retain: retain}
+	j, rec, err := atomicio.OpenJournal(atomicio.JournalConfig{
+		Dir: dir, Snapshot: auditSnapshotFile, Log: auditJournalFile, CompactEvery: compactEvery,
+		Load: a.load, Apply: a.apply, Save: a.save, Compacted: a.compacted,
 	})
-	if errors.Is(err, errStopReplay) {
-		torn, err = true, nil
-	}
 	if err != nil {
 		return nil, err
 	}
-	a.trimLocked()
-	a.logOps = replayed
-	obs.Enabled().Counter(mAuditReplayed).Add(int64(replayed))
-
-	if torn {
+	a.journal = j
+	obs.Enabled().Counter(mAuditReplayed).Add(int64(rec.Replayed))
+	if rec.Torn {
 		obs.Enabled().Counter(mAuditTornRecovered).Add(1)
-		obs.Logger().Warn("epoch audit journal had a torn tail; compacting", "dir", dir)
-		if err := a.compactLocked(); err != nil {
-			return nil, err
-		}
-	} else {
-		if a.log, err = atomicio.OpenLog(jPath); err != nil {
-			return nil, err
-		}
+		obs.Logger().Warn("epoch audit journal had a torn tail; compacted", "dir", dir)
 	}
 	return a, nil
+}
+
+// load decodes the snapshot into the empty log.
+func (a *AuditLog) load(data []byte) error {
+	var doc auditDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return corruptSnapshot(a.dir, auditSnapshotFile, err)
+	}
+	if doc.Version != auditVersion {
+		return corruptSnapshot(a.dir, auditSnapshotFile, fmt.Errorf("snapshot version %d (want %d)", doc.Version, auditVersion))
+	}
+	a.records = doc.Records
+	a.lastEpoch = doc.LastEpoch
+	a.trimLocked()
+	return nil
+}
+
+// apply replays one journaled record, skipping those the snapshot
+// already folded in (epoch at or below the watermark).
+func (a *AuditLog) apply(rec []byte) (bool, error) {
+	var er EpochRecord
+	if err := json.Unmarshal(rec, &er); err != nil {
+		return false, err
+	}
+	if er.Provenance.Epoch <= a.lastEpoch {
+		return false, nil
+	}
+	a.appendLocked(er)
+	return true, nil
+}
+
+// compacted observes each compaction's outcome; the journal retries a
+// failed one on the next append.
+func (a *AuditLog) compacted(err error) {
+	if err != nil {
+		obs.Logger().Warn("epoch audit log compaction failed", "dir", a.dir, "err", err)
+		return
+	}
+	obs.Enabled().Counter(mAuditCompactions).Add(1)
+}
+
+// save encodes the snapshot; the journal calls it under a.mu.
+func (a *AuditLog) save() ([]byte, error) {
+	data, err := a.canonicalLocked()
+	return append(data, '\n'), err
+}
+
+func (a *AuditLog) canonicalLocked() ([]byte, error) {
+	return json.MarshalIndent(auditDoc{Version: auditVersion, LastEpoch: a.lastEpoch, Records: a.records}, "", "  ")
 }
 
 // Append records one epoch transition durably: journaled and fsynced
@@ -167,58 +159,24 @@ func (a *AuditLog) Append(rec EpochRecord) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.log == nil {
-		return fmt.Errorf("service: audit log closed")
-	}
-	if err := a.log.Append(data); err != nil {
+	if err := a.journal.Append(data, func() { a.appendLocked(rec) }); err != nil {
 		return err
 	}
+	obs.Enabled().Counter(mAuditAppended).Add(1)
+	return nil
+}
+
+// appendLocked adds rec in memory, sliding the retention window.
+func (a *AuditLog) appendLocked(rec EpochRecord) {
 	a.records = append(a.records, rec)
 	a.lastEpoch = rec.Provenance.Epoch
 	a.trimLocked()
-	a.logOps++
-	obs.Enabled().Counter(mAuditAppended).Add(1)
-	if a.logOps < a.compactEvery {
-		return nil
-	}
-	return a.compactLocked()
 }
 
 func (a *AuditLog) trimLocked() {
 	if excess := len(a.records) - a.retain; excess > 0 {
 		a.records = append([]EpochRecord(nil), a.records[excess:]...)
 	}
-}
-
-// compactLocked folds the retained records into a fresh snapshot and
-// resets the journal; same commit-point ordering as the tenant store
-// (snapshot rename commits; stale journal records replay-skip by epoch).
-func (a *AuditLog) compactLocked() error {
-	if err := atomicio.WriteFile(filepath.Join(a.dir, auditSnapshotFile), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(auditDoc{Version: auditVersion, LastEpoch: a.lastEpoch, Records: a.records})
-	}); err != nil {
-		return err
-	}
-	if a.log != nil {
-		if err := a.log.Close(); err != nil {
-			return err
-		}
-		a.log = nil
-	}
-	jPath := filepath.Join(a.dir, auditJournalFile)
-	if err := os.Remove(jPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("service: %w", err)
-	}
-	log, err := atomicio.OpenLog(jPath)
-	if err != nil {
-		return err
-	}
-	a.log = log
-	a.logOps = 0
-	obs.Enabled().Counter(mAuditCompactions).Add(1)
-	return nil
 }
 
 // History returns the retained records with epoch > since, oldest first
@@ -256,24 +214,12 @@ func (a *AuditLog) Len() int {
 func (a *AuditLog) CanonicalBytes() ([]byte, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return json.MarshalIndent(auditDoc{Version: auditVersion, LastEpoch: a.lastEpoch, Records: a.records}, "", "  ")
-}
-
-// Compact forces a snapshot+journal-reset cycle.
-func (a *AuditLog) Compact() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.compactLocked()
+	return a.canonicalLocked()
 }
 
 // Close closes the journal. Further appends fail; reads keep working.
 func (a *AuditLog) Close() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.log == nil {
-		return nil
-	}
-	err := a.log.Close()
-	a.log = nil
-	return err
+	return a.journal.Close()
 }

@@ -338,3 +338,38 @@ func TestAuditKill9Helper(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestAuditLogCompactionFailureKeepsDurableAppend: an append whose
+// compaction fails is still durable, so Append returns nil (the service
+// does not count it as an append failure), and a reopen recovers it.
+func TestAuditLogCompactionFailureKeepsDurableAppend(t *testing.T) {
+	dir := t.TempDir()
+	a, err := OpenAuditLog(dir, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(testEpochRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	plan := faultinject.NewPlan()
+	plan.Set(atomicio.FaultSync, faultinject.Rule{Count: 1})
+	faultinject.Enable(plan)
+	err = a.Append(testEpochRecord(2))
+	faultinject.Enable(nil)
+	if err != nil {
+		t.Fatalf("Append with failed compaction = %v, want nil (the record is durable)", err)
+	}
+	if a.LastEpoch() != 2 || a.Len() != 2 {
+		t.Fatalf("LastEpoch=%d Len=%d, want 2/2", a.LastEpoch(), a.Len())
+	}
+	want := auditCanonical(t, a)
+	a.Close()
+	re, err := OpenAuditLog(dir, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := auditCanonical(t, re); !bytes.Equal(got, want) {
+		t.Fatalf("reopen after failed compaction diverges:\n%s\nvs\n%s", got, want)
+	}
+}

@@ -63,12 +63,9 @@ type Config struct {
 	// records and sees a gap marker (feed.go). Non-positive means the
 	// default.
 	FeedBuffer int
-	// AuditRetain bounds how many epoch records the audit log keeps;
-	// AuditCompactEvery is how many appended records accumulate before
-	// the log folds them into a fresh snapshot. Non-positive means the
-	// defaults (audit.go).
-	AuditRetain       int
-	AuditCompactEvery int
+	// AuditRetain bounds how many epoch records the audit log keeps.
+	// Non-positive means the default (audit.go).
+	AuditRetain int
 	// Seed makes the backoff jitter deterministic for tests.
 	Seed uint64
 }
@@ -77,19 +74,18 @@ type Config struct {
 // directly comparable to offline solves.
 func DefaultConfig() Config {
 	return Config{
-		Units:             1024,
-		BlocksPerUnit:     4,
-		MaxInflight:       8,
-		QueueDepth:        64,
-		DefaultDeadline:   2 * time.Second,
-		ReoptDeadline:     10 * time.Second,
-		RetryMax:          3,
-		RetryBase:         50 * time.Millisecond,
-		TenantSeriesCap:   obs.DefaultChildSetCap,
-		FeedBuffer:        defaultFeedBuffer,
-		AuditRetain:       defaultAuditRetain,
-		AuditCompactEvery: defaultCompactEvery,
-		Seed:              1,
+		Units:           1024,
+		BlocksPerUnit:   4,
+		MaxInflight:     8,
+		QueueDepth:      64,
+		DefaultDeadline: 2 * time.Second,
+		ReoptDeadline:   10 * time.Second,
+		RetryMax:        3,
+		RetryBase:       50 * time.Millisecond,
+		TenantSeriesCap: obs.DefaultChildSetCap,
+		FeedBuffer:      defaultFeedBuffer,
+		AuditRetain:     defaultAuditRetain,
+		Seed:            1,
 	}
 }
 
@@ -127,9 +123,6 @@ func (c *Config) normalize() {
 	}
 	if c.AuditRetain <= 0 {
 		c.AuditRetain = d.AuditRetain
-	}
-	if c.AuditCompactEvery <= 0 {
-		c.AuditCompactEvery = d.AuditCompactEvery
 	}
 }
 
@@ -196,7 +189,7 @@ type Service struct {
 // restarts, not just within one process.
 func New(cfg Config, store *Store) (*Service, error) {
 	cfg.normalize()
-	audit, err := OpenAuditLog(store.Dir(), cfg.AuditRetain, cfg.AuditCompactEvery)
+	audit, err := OpenAuditLog(store.Dir(), cfg.AuditRetain, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -45,31 +43,27 @@ const (
 // storeVersion is the snapshot schema version.
 const storeVersion = 1
 
-// defaultCompactEvery is how many journaled ops accumulate before the
-// store folds them into a fresh snapshot.
-const defaultCompactEvery = 64
-
 const (
 	snapshotFile = "tenants.json"
 	journalFile  = "journal.log"
 )
 
 // A Store is the durable tenant registry: profiles keyed by tenant name,
-// persisted as an atomic snapshot plus a CRC-framed append journal. The
-// crash contract, proven by the chaos tests: an operation is durable iff
-// it returned nil; a crash — including kill -9 — at any instruction
-// leaves the store recoverable to exactly the acknowledged operations,
-// and recovery is deterministic (two opens of the same directory yield
-// byte-identical canonical state).
+// persisted as an atomicio.Journal — an atomic snapshot plus a
+// CRC-framed append journal. The crash contract, proven by the chaos
+// tests: an operation is durable iff it returned nil; a crash —
+// including kill -9 — at any instruction leaves the store recoverable
+// to exactly the acknowledged operations, and recovery is deterministic
+// (two opens of the same directory yield byte-identical canonical
+// state).
 type Store struct {
-	dir          string
-	compactEvery int
+	dir string
 
 	mu      sync.Mutex
 	tenants map[string]profileio.Profile
-	seq     uint64 // sequence of the last applied operation
-	log     *atomicio.Log
-	logOps  int // journaled ops since the last snapshot
+	seq     uint64 // sequence of the last applied operation: the replay watermark
+	journal *atomicio.Journal
+	logOps  int // journaled ops since the last snapshot, as of the last write
 }
 
 // journalRec is one journaled operation. Put carries the profile in its
@@ -101,92 +95,86 @@ type snapshotRow struct {
 // compacted away, so the next crash starts from a clean journal.
 // compactEvery <= 0 uses the default.
 func OpenStore(dir string, compactEvery int) (*Store, error) {
-	if compactEvery <= 0 {
-		compactEvery = defaultCompactEvery
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	s := &Store{
-		dir:          dir,
-		compactEvery: compactEvery,
-		tenants:      make(map[string]profileio.Profile),
-	}
-
-	snapPath := filepath.Join(dir, snapshotFile)
-	if data, err := os.ReadFile(snapPath); err == nil {
-		var doc snapshotDoc
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, snapPath, err)
-		}
-		if doc.Version != storeVersion {
-			return nil, fmt.Errorf("%w: %s: snapshot version %d (want %d)", ErrStoreCorrupt, snapPath, doc.Version, storeVersion)
-		}
-		for _, row := range doc.Tenants {
-			p, err := profileio.Read(bytes.NewReader(row.Profile))
-			if err != nil {
-				return nil, fmt.Errorf("%w: %s: tenant %q: %v", ErrStoreCorrupt, snapPath, row.Name, err)
-			}
-			s.tenants[row.Name] = p
-		}
-		s.seq = doc.Seq
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-
-	jPath := filepath.Join(dir, journalFile)
-	replayed := 0
-	torn, err := atomicio.ReplayLog(jPath, func(rec []byte) error {
-		var jr journalRec
-		if err := json.Unmarshal(rec, &jr); err != nil {
-			// A record that framed correctly but does not parse is damage
-			// the CRC cannot see; treat it like a torn tail by stopping
-			// the replay there via a sentinel the caller squashes.
-			return errStopReplay
-		}
-		if jr.Seq <= s.seq {
-			return nil // already folded into the snapshot
-		}
-		switch jr.Op {
-		case "put":
-			p, err := profileio.Read(bytes.NewReader(jr.Profile))
-			if err != nil {
-				return errStopReplay
-			}
-			s.tenants[jr.Name] = p
-		case "del":
-			delete(s.tenants, jr.Name)
-		default:
-			return errStopReplay
-		}
-		s.seq = jr.Seq
-		replayed++
-		return nil
+	s := &Store{dir: dir, tenants: make(map[string]profileio.Profile)}
+	j, rec, err := atomicio.OpenJournal(atomicio.JournalConfig{
+		Dir: dir, Snapshot: snapshotFile, Log: journalFile, CompactEvery: compactEvery,
+		Load: s.load, Apply: s.apply, Save: s.save, Compacted: s.compacted,
 	})
-	if errors.Is(err, errStopReplay) {
-		torn, err = true, nil
-	}
 	if err != nil {
 		return nil, err
 	}
-	s.logOps = replayed
-	obs.Enabled().Counter(mStoreReplayed).Add(int64(replayed))
-
-	if torn {
+	s.journal, s.logOps = j, j.Pending()
+	obs.Enabled().Counter(mStoreReplayed).Add(int64(rec.Replayed))
+	if rec.Torn {
 		obs.Enabled().Counter(mStoreTornRecovered).Add(1)
-		obs.Logger().Warn("tenant journal had a torn tail; compacting", "dir", dir)
-		if err := s.compactLocked(); err != nil {
-			return nil, err
-		}
-	} else {
-		if s.log, err = atomicio.OpenLog(jPath); err != nil {
-			return nil, err
-		}
+		obs.Logger().Warn("tenant journal had a torn tail; compacted", "dir", dir)
 	}
 	return s, nil
 }
 
-var errStopReplay = errors.New("service: stop journal replay")
+// corruptSnapshot wraps a snapshot decode failure in ErrStoreCorrupt.
+func corruptSnapshot(dir, file string, err error) error {
+	return fmt.Errorf("%w: %s: %v", ErrStoreCorrupt, filepath.Join(dir, file), err)
+}
+
+// load decodes the snapshot into the empty store.
+func (s *Store) load(data []byte) error {
+	var doc snapshotDoc
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return corruptSnapshot(s.dir, snapshotFile, err)
+	}
+	if doc.Version != storeVersion {
+		return corruptSnapshot(s.dir, snapshotFile, fmt.Errorf("snapshot version %d (want %d)", doc.Version, storeVersion))
+	}
+	for _, row := range doc.Tenants {
+		p, err := profileio.Read(bytes.NewReader(row.Profile))
+		if err != nil {
+			return corruptSnapshot(s.dir, snapshotFile, fmt.Errorf("tenant %q: %v", row.Name, err))
+		}
+		s.tenants[row.Name] = p
+	}
+	s.seq = doc.Seq
+	return nil
+}
+
+// apply replays one journal record, skipping those the snapshot already
+// folded in (seq at or below the watermark).
+func (s *Store) apply(rec []byte) (bool, error) {
+	var jr journalRec
+	if err := json.Unmarshal(rec, &jr); err != nil {
+		return false, err
+	}
+	if jr.Seq <= s.seq {
+		return false, nil
+	}
+	switch jr.Op {
+	case "put":
+		p, err := profileio.Read(bytes.NewReader(jr.Profile))
+		if err != nil {
+			return false, err
+		}
+		s.tenants[jr.Name] = p
+	case "del":
+		delete(s.tenants, jr.Name)
+	default:
+		return false, fmt.Errorf("unknown op %q", jr.Op)
+	}
+	s.seq = jr.Seq
+	return true, nil
+}
+
+// compacted observes each compaction's outcome; the journal retries a
+// failed one on the next write.
+func (s *Store) compacted(err error) {
+	if err != nil {
+		obs.Logger().Warn("tenant store compaction failed", "dir", s.dir, "err", err)
+		return
+	}
+	obs.Enabled().Counter(mStoreCompactions).Add(1)
+}
+
+// save encodes the snapshot; the journal calls it under s.mu.
+func (s *Store) save() ([]byte, error) { return s.docBytesLocked(s.seq, "\n") }
 
 // Put registers (or replaces) a tenant profile durably: the operation is
 // journaled and fsynced before it is applied in memory, so an
@@ -207,11 +195,7 @@ func (s *Store) Put(name string, p profileio.Profile) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendLocked(journalRec{Op: "put", Name: name, Profile: buf.Bytes()}); err != nil {
-		return err
-	}
-	s.tenants[name] = p
-	return s.maybeCompactLocked()
+	return s.appendLocked(journalRec{Op: "put", Name: name, Profile: buf.Bytes()}, func() { s.tenants[name] = p })
 }
 
 // Delete unregisters a tenant durably.
@@ -224,89 +208,44 @@ func (s *Store) Delete(name string) error {
 	if _, ok := s.tenants[name]; !ok {
 		return fmt.Errorf("%w: %q", ErrTenantNotFound, name)
 	}
-	if err := s.appendLocked(journalRec{Op: "del", Name: name}); err != nil {
-		return err
-	}
-	delete(s.tenants, name)
-	return s.maybeCompactLocked()
+	return s.appendLocked(journalRec{Op: "del", Name: name}, func() { delete(s.tenants, name) })
 }
 
-func (s *Store) appendLocked(jr journalRec) error {
-	if s.log == nil {
-		return fmt.Errorf("service: store closed")
-	}
+// appendLocked journals jr as the next operation and, once it is
+// durable, applies it in memory via apply.
+func (s *Store) appendLocked(jr journalRec, apply func()) error {
 	jr.Seq = s.seq + 1
 	rec, err := json.Marshal(jr)
 	if err != nil {
 		return err
 	}
-	if err := s.log.Append(rec); err != nil {
-		return err
-	}
-	s.seq = jr.Seq
-	s.logOps++
-	return nil
+	err = s.journal.Append(rec, func() { apply(); s.seq = jr.Seq })
+	s.logOps = s.journal.Pending()
+	return err
 }
 
-func (s *Store) maybeCompactLocked() error {
-	if s.logOps < s.compactEvery {
-		return nil
-	}
-	return s.compactLocked()
-}
-
-// compactLocked folds the current state into a fresh snapshot and resets
-// the journal. Failure order matters: the snapshot rename is the commit
-// point; a crash before it keeps the old snapshot+journal, a crash after
-// it but before the journal reset leaves stale journal records that
-// replay skips by sequence number.
-func (s *Store) compactLocked() error {
-	if err := atomicio.WriteFile(filepath.Join(s.dir, snapshotFile), func(w io.Writer) error {
-		doc, err := s.snapshotDocLocked()
-		if err != nil {
-			return err
+// docBytesLocked renders every tenant in name order as the indented
+// JSON snapshot document current through seq, followed by tail.
+func (s *Store) docBytesLocked(seq uint64, tail string) ([]byte, error) {
+	doc := snapshotDoc{Version: storeVersion, Seq: seq}
+	for _, n := range s.namesLocked() {
+		var buf bytes.Buffer
+		if err := profileio.Write(&buf, s.tenants[n]); err != nil {
+			return nil, err
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(doc)
-	}); err != nil {
-		return err
+		doc.Tenants = append(doc.Tenants, snapshotRow{Name: n, Profile: buf.Bytes()})
 	}
-	if s.log != nil {
-		if err := s.log.Close(); err != nil {
-			return err
-		}
-		s.log = nil
-	}
-	jPath := filepath.Join(s.dir, journalFile)
-	if err := os.Remove(jPath); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("service: %w", err)
-	}
-	log, err := atomicio.OpenLog(jPath)
-	if err != nil {
-		return err
-	}
-	s.log = log
-	s.logOps = 0
-	obs.Enabled().Counter(mStoreCompactions).Add(1)
-	return nil
+	data, err := json.MarshalIndent(doc, "", "  ")
+	return append(data, tail...), err
 }
 
-func (s *Store) snapshotDocLocked() (snapshotDoc, error) {
-	doc := snapshotDoc{Version: storeVersion, Seq: s.seq}
+func (s *Store) namesLocked() []string {
 	names := make([]string, 0, len(s.tenants))
 	for n := range s.tenants {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		var buf bytes.Buffer
-		if err := profileio.Write(&buf, s.tenants[n]); err != nil {
-			return doc, err
-		}
-		doc.Tenants = append(doc.Tenants, snapshotRow{Name: n, Profile: buf.Bytes()})
-	}
-	return doc, nil
+	return names
 }
 
 // Get returns the named tenant's profile.
@@ -324,12 +263,7 @@ func (s *Store) Get(name string) (profileio.Profile, error) {
 func (s *Store) Names() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.tenants))
-	for n := range s.tenants {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return s.namesLocked()
 }
 
 // Len returns the number of registered tenants.
@@ -358,29 +292,12 @@ func (s *Store) Seq() uint64 {
 func (s *Store) CanonicalBytes() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	doc, err := s.snapshotDocLocked()
-	if err != nil {
-		return nil, err
-	}
-	doc.Seq = 0
-	return json.MarshalIndent(doc, "", "  ")
-}
-
-// Compact forces a snapshot+journal-reset cycle.
-func (s *Store) Compact() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
+	return s.docBytesLocked(0, "")
 }
 
 // Close closes the journal. Further writes fail; reads keep working.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.log == nil {
-		return nil
-	}
-	err := s.log.Close()
-	s.log = nil
-	return err
+	return s.journal.Close()
 }

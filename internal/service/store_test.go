@@ -331,3 +331,81 @@ func TestStoreKill9Helper(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestServiceCompactionFailureKeepsAgreement arms a snapshot-write
+// fault on the Register and the Unregister whose journal append triggers
+// compaction. Each operation is durable once journaled, so it must
+// return nil and the service's planning set must follow the store; the
+// failed compaction is retried on the next write, and a reopen recovers
+// the same state.
+func TestServiceCompactionFailureKeepsAgreement(t *testing.T) {
+	dir := t.TempDir()
+	store, err := OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := New(testConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Register(nil, "a", testProfile(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	faulty := func(op func() error) error {
+		plan := faultinject.NewPlan()
+		plan.Set(atomicio.FaultSync, faultinject.Rule{Count: 1})
+		faultinject.Enable(plan)
+		defer faultinject.Enable(nil)
+		return op()
+	}
+	agree := func(want string) {
+		t.Helper()
+		names := strings.Join(svc.Tenants(), ",")
+		svc.mu.Lock()
+		order := strings.Join(svc.order, ",")
+		svc.mu.Unlock()
+		if names != want || order != want {
+			t.Fatalf("store holds %q, service plans %q; want %q in both", names, order, want)
+		}
+	}
+	if err := faulty(func() error { return svc.Register(nil, "b", testProfile(t, 2)) }); err != nil {
+		t.Fatalf("Register with failed compaction = %v, want nil (the put is durable)", err)
+	}
+	agree("a,b")
+	if err := faulty(func() error { return svc.Unregister(nil, "a") }); err != nil {
+		t.Fatalf("Unregister with failed compaction = %v, want nil (the delete is durable)", err)
+	}
+	agree("b")
+	if store.logOps != 3 {
+		t.Fatalf("logOps = %d after two failed compactions, want 3", store.logOps)
+	}
+	want := canonical(t, store)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := canonical(t, re); !bytes.Equal(got, want) {
+		t.Fatalf("reopen after failed compactions diverges:\n%s\nvs\n%s", got, want)
+	}
+	// The next write retries the compaction, now successfully.
+	if err := re.Put("c", testProfile(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if re.logOps != 0 {
+		t.Fatalf("compaction not retried: logOps = %d", re.logOps)
+	}
+	want = canonical(t, re)
+	re.Close()
+	re2, err := OpenStore(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re2.Close()
+	if got := canonical(t, re2); !bytes.Equal(got, want) {
+		t.Fatalf("reopen after retried compaction diverges")
+	}
+}

@@ -34,11 +34,14 @@ go test -race -shuffle=on ./...
 # Stress: the tests guarding exactness claims that once flaked run many
 # times, so a returning flake fails the gate instead of slipping through
 # a lucky single run — the ChildSet's exact overflow totals under
-# concurrent eviction (race detector on), and the refinement rung's
-# exhaustive oracle and suite-group differentials.
-echo "== stress: ChildSet concurrency, refinement oracles"
+# concurrent eviction (race detector on), the refinement rung's
+# exhaustive oracle and suite-group differentials, and the durable
+# journal's crash claims (byte-identical recovery after kill -9, torn
+# tails, injected append and compaction faults, the on-disk golden).
+echo "== stress: ChildSet concurrency, refinement oracles, journal recovery"
 go test -race -count 200 -run TestChildSetConcurrent ./internal/obs
 go test -count 20 -run 'Differential|Exhaustive' ./internal/partition
+go test -count 20 -run 'Kill9|Torn|Injected|Compaction|Golden' ./internal/atomicio ./internal/service
 
 # Fuzz smoke: each target runs for a few seconds so input-hardening
 # regressions (parser panics, reference divergence) surface in CI-sized
